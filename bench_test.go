@@ -145,9 +145,9 @@ func BenchmarkE5Comparison(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveClusterLockUnlock measures the live goroutine runtime (the
-// public API) end to end: one node cycling lock/unlock on an 8-node
-// in-memory cluster.
+// BenchmarkLiveClusterLockUnlock measures the live lockspace runtime
+// through the public single-mutex API end to end: one node cycling
+// lock/unlock on an 8-node in-memory cluster.
 func BenchmarkLiveClusterLockUnlock(b *testing.B) {
 	c, err := NewCluster(8)
 	if err != nil {

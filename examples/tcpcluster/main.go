@@ -1,6 +1,7 @@
 // TCP cluster: four nodes communicating over real loopback TCP sockets
-// (gob-framed), taking turns on the distributed mutex. The same code
-// works across machines by listing real peer addresses.
+// through reliable sessions (sequenced, acknowledged and retransmitted
+// frames), taking turns on the distributed mutex. The same code works
+// across machines by listing real peer addresses.
 //
 //	go run ./examples/tcpcluster
 package main

@@ -618,60 +618,89 @@ func (d *driver) finishGrabbedHold(node int) {
 	}
 }
 
+// zombieAttempts bounds how often zombie grabs again when a hold cannot
+// lapse into a lease reclaim (see zombieHold).
+const zombieAttempts = 8
+
 // zombie grabs a key through a live node and goes silent past the lease
 // TTL, sends a witness from another node to reclaim it (the
 // reclaim-after-lease coverage), and finally calls the long-dead Unlock
-// to watch ErrLeaseExpired surface. The planned victim may be mid-kill
-// at injection time, so the node is picked alive at execution.
+// to watch ErrLeaseExpired surface.
+//
+// A hold whose fence the ledger refuses is no hold at all to a fenced
+// resource, so its lapse reclaims nothing: that happens when a
+// superseded token grants it — during a kill's regeneration, or for good
+// once the newest-epoch token died with its node and an older lineage
+// took over the key. The zombie then leaves that hold to lapse
+// unwatched and, one TTL later while traffic lasts, grabs again through
+// the next node and (unless the fault names its key) the next key.
 func (d *driver) zombie(f Fault) {
-	node := -1
-	var sp *lockspace.Lockspace
-	for i := 0; i < d.n; i++ {
-		cand := (f.Node + i) % d.n
-		if s, alive := d.members[cand].get(); alive {
-			node, sp = cand, s
-			break
-		}
-	}
-	if sp == nil {
-		return
-	}
-	key := f.Key
-	if key == "" {
-		key = d.keys[0]
-	}
 	d.aux.Add(1)
 	go func() {
 		defer d.aux.Done()
-		d.props.OnRequest(node, key)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		fence, err := sp.Lock(ctx, key)
-		cancel()
-		if err != nil {
-			d.props.OnAborted(node, key)
-			return
-		}
-		d.props.OnGrant(node, key, fence)
-		d.props.OnZombie(node, key, fence)
-		d.cfg.Log("chaos: %v zombie hold on %q at node %d (fence %#x)", f.At.Round(time.Millisecond), key, node, fence)
-		// The witness: a client elsewhere must get the key back through
-		// lease reclaim.
-		witness := (node + 1) % d.n
-		d.aux.Add(1)
-		go func() {
-			defer d.aux.Done()
-			wsp, alive := d.members[witness].get()
-			if !alive {
-				return
+		for attempt := 0; attempt < zombieAttempts; attempt++ {
+			if attempt > 0 {
+				select {
+				case <-time.After(d.cfg.LeaseTTL):
+				case <-d.trafficCtx.Done():
+					return
+				}
 			}
-			d.lockCycle(wsp, witness, key, 0)
-		}()
-		// Long past the TTL, the zombie wakes up and tries to unlock: the
-		// lease machinery must surface the expiry, and the dead fence must
-		// be refused by the ledger.
-		time.Sleep(3 * d.cfg.LeaseTTL)
-		if err := sp.Unlock(key, fence); errors.Is(err, lockspace.ErrLeaseExpired) {
-			d.props.OnLateExpiry(node, key, fence)
+			key := f.Key
+			if key == "" {
+				key = d.keys[attempt%len(d.keys)] // the hottest key first
+			}
+			// The planned victim may be mid-kill, so the node is picked
+			// alive at execution.
+			for i := 0; i < d.n; i++ {
+				node := (f.Node + attempt + i) % d.n
+				if sp, alive := d.members[node].get(); alive {
+					if d.zombieHold(f, node, sp, key) {
+						return
+					}
+					break
+				}
+			}
 		}
 	}()
+}
+
+// zombieHold runs one zombie hold on key through sp and reports whether
+// its lapse was armed in the property suite (see LockProps.OnZombie).
+func (d *driver) zombieHold(f Fault, node int, sp *lockspace.Lockspace, key string) bool {
+	d.props.OnRequest(node, key)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	fence, err := sp.Lock(ctx, key)
+	cancel()
+	if err != nil {
+		d.props.OnAborted(node, key)
+		return false
+	}
+	d.props.OnGrant(node, key, fence)
+	if !d.props.OnZombie(node, key, fence) {
+		d.cfg.Log("chaos: %v zombie hold on %q at node %d (fence %#x) is not the admitted holder; grabbing again",
+			f.At.Round(time.Millisecond), key, node, fence)
+		return false
+	}
+	d.cfg.Log("chaos: %v zombie hold on %q at node %d (fence %#x)", f.At.Round(time.Millisecond), key, node, fence)
+	// The witness: a client elsewhere must get the key back through
+	// lease reclaim.
+	witness := (node + 1) % d.n
+	d.aux.Add(1)
+	go func() {
+		defer d.aux.Done()
+		wsp, alive := d.members[witness].get()
+		if !alive {
+			return
+		}
+		d.lockCycle(wsp, witness, key, 0)
+	}()
+	// Long past the TTL, the zombie wakes up and tries to unlock: the
+	// lease machinery must surface the expiry, and the dead fence must
+	// be refused by the ledger.
+	time.Sleep(3 * d.cfg.LeaseTTL)
+	if err := sp.Unlock(key, fence); errors.Is(err, lockspace.ErrLeaseExpired) {
+		d.props.OnLateExpiry(node, key, fence)
+	}
+	return true
 }

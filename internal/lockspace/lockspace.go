@@ -809,9 +809,9 @@ func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 	}
 }
 
-// armTimer schedules a timer fire. Like cluster.Node, timers are not
-// tracked individually: fires after Close are swallowed by the stop
-// select, and outdated generations are discarded at delivery.
+// armTimer schedules a timer fire. Timers are not tracked individually:
+// fires after Close are swallowed by the stop select, and outdated
+// generations are discarded at delivery.
 func (ls *Lockspace) armTimer(id uint64, e core.StartTimer) {
 	if ls.closed.Load() {
 		return

@@ -304,8 +304,12 @@ func (p *LockProps) OnHoldLost(node int, key string, fence uint64) {
 
 // OnZombie records a client that deliberately goes silent while holding:
 // no Unlock, no Keepalive. Its hold lapses one lease TTL after now and
-// the next grant of the key is a lease reclaim.
-func (p *LockProps) OnZombie(node int, key string, fence uint64) {
+// the next grant of the key is a lease reclaim. It reports whether that
+// lapse was armed: false when the hold is not the key's current admitted
+// holder — the ledger refused its fence (a superseded token granted it
+// during a regeneration race) or a newer grant already overtook it — so
+// no later grant can count as reclaiming it.
+func (p *LockProps) OnZombie(node int, key string, fence uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.totals.Zombies++
@@ -314,7 +318,9 @@ func (p *LockProps) OnZombie(node int, key string, fence uint64) {
 	if ks.holder != nil && ks.holder.fence == fence && p.ttl > 0 {
 		ks.lapsedAt = time.Now().Add(p.ttl)
 		ks.lapsedKind = lapsedLease
+		return true
 	}
+	return false
 }
 
 // OnLateExpiry records a zombie's eventual Unlock surfacing

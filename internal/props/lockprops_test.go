@@ -162,7 +162,9 @@ func TestLockPropsZombieLeaseReclaim(t *testing.T) {
 	p := NewLockProps(&c, ttl, time.Hour)
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 1)
-	p.OnZombie(0, "k", 1)
+	if !p.OnZombie(0, "k", 1) {
+		t.Fatal("the admitted holder's zombie lapse must arm")
+	}
 	time.Sleep(2 * ttl)
 	p.OnRequest(1, "k")
 	p.OnGrant(1, "k", 1<<32|1)
@@ -180,6 +182,33 @@ func TestLockPropsZombieLeaseReclaim(t *testing.T) {
 	}
 	if rep[PropLeaseExpiredSurfaced].Unreached() || rep[PropStaleFenceRejected].Unreached() {
 		t.Fatal("late expiry must witness the lease-expiry coverage")
+	}
+}
+
+// TestLockPropsZombieStaleGrantNotArmed: a zombie whose grant the ledger
+// refused (a superseded token granted it) cannot lapse into a reclaim,
+// and OnZombie says so, so the chaos rig grabs again instead of
+// waiting for a reclaim that never counts.
+func TestLockPropsZombieStaleGrantNotArmed(t *testing.T) {
+	var c Collector
+	p := NewLockProps(&c, 10*time.Millisecond, time.Hour)
+	p.OnRequest(1, "k")
+	p.OnGrant(1, "k", 2<<32|1) // the regenerated token's grant
+	p.OnRelease(1, "k", 2<<32|1)
+	p.OnRequest(0, "k")
+	p.OnGrant(0, "k", 1<<32|5) // the superseded token still grants
+	if p.OnZombie(0, "k", 1<<32|5) {
+		t.Fatal("a refused grant's zombie lapse must not arm")
+	}
+	p.OnRequest(1, "k")
+	p.OnGrant(1, "k", 2<<32|2)
+	p.OnRelease(1, "k", 2<<32|2)
+	if rep := report(p); !rep[PropReclaimAfterLease].Unreached() {
+		t.Fatalf("%s reached without an armed lapse", PropReclaimAfterLease)
+	}
+	p.Finish(true, nil)
+	if err := c.Err(false); err != nil {
+		t.Fatalf("run must pass: %v", err)
 	}
 }
 

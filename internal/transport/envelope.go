@@ -26,8 +26,8 @@ type BatchTransport interface {
 	Close() error
 }
 
-// EnvMesh is the in-memory batch switchboard: the envelope counterpart
-// of Mesh, connecting the lockspace nodes of a single-process cluster.
+// EnvMesh is the in-memory batch switchboard connecting the lockspace
+// nodes of a single-process cluster.
 // One mesh carries the traffic of every instance — the shared-resource
 // design the lockspace is built around.
 type EnvMesh struct {

@@ -32,14 +32,14 @@ func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
 // mid-stream. The next send re-dials lazily; the session layer replays
 // whatever died on the wire.
 func killLiveConns(t *SessTCP) int {
-	t.link.mu.Lock()
-	conns := t.link.conns
-	t.link.conns = map[ocube.Pos]*peerConn{}
-	acc := make([]net.Conn, 0, len(t.link.accepted))
-	for c := range t.link.accepted {
+	t.mu.Lock()
+	conns := t.conns
+	t.conns = map[ocube.Pos]*peerConn{}
+	acc := make([]net.Conn, 0, len(t.accepted))
+	for c := range t.accepted {
 		acc = append(acc, c)
 	}
-	t.link.mu.Unlock()
+	t.mu.Unlock()
 	n := 0
 	for _, pc := range conns {
 		pc.conn.Close()

@@ -21,7 +21,7 @@ import (
 // (internal/sim, Config.Session) so LossyDelay/PartitionWindow validate
 // it deterministically; this one rides any FrameLink — the in-memory
 // SessMesh for tests and SessTCP for multi-process deployments, where a
-// dropped connection is repaired by tcpLink's lazy redial and the
+// dropped connection is repaired by SessTCP's lazy redial and the
 // retransmit timers replay everything the drop swallowed.
 
 // SessionConfig tunes a reliable session. The zero value selects the
@@ -582,36 +582,3 @@ func (e *sessMeshEndpoint) RecvFrame() <-chan SessFrame { return e.mesh.boxes[e.
 func (e *sessMeshEndpoint) Close() error { return nil } // owned by the mesh
 
 var _ FrameLink = (*sessMeshEndpoint)(nil)
-
-// SessTCP is a FrameLink over TCP sockets with one gob-encoded session
-// frame per wire frame. Pair it with NewSession for a reliable
-// multi-process BatchTransport: a dropped connection is re-dialed lazily
-// by the link, and the session's retransmission replays whatever the
-// drop swallowed.
-type SessTCP struct {
-	link *tcpLink[SessFrame]
-}
-
-// NewSessTCP starts a session frame link for self, listening on
-// addrs[self].
-func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
-	link, err := newTCPLink[SessFrame](self, addrs)
-	if err != nil {
-		return nil, err
-	}
-	return &SessTCP{link: link}, nil
-}
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *SessTCP) Addr() string { return t.link.Addr() }
-
-// SendFrame implements FrameLink.
-func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error { return t.link.send(to, f) }
-
-// RecvFrame implements FrameLink.
-func (t *SessTCP) RecvFrame() <-chan SessFrame { return t.link.inbox }
-
-// Close implements FrameLink.
-func (t *SessTCP) Close() error { return t.link.close() }
-
-var _ FrameLink = (*SessTCP)(nil)

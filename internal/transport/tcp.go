@@ -5,24 +5,28 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/ocube"
 )
 
-// tcpLink is the generic TCP machinery shared by the single-message
-// transport (TCP) and the envelope-batch transport (EnvTCP): each node
-// listens on its own address and dials peers lazily; outbound
-// connections are cached and serialized per peer; inbound frames of type
-// F are gob-decoded into the inbox. Suitable for the multi-process
-// examples; production hardening (TLS, reconnection backoff) is out of
-// scope for the reproduction.
-type tcpLink[F any] struct {
-	self  ocube.Pos
+// SessTCP is a FrameLink over TCP sockets with one gob-encoded session
+// frame per wire frame. Pair it with NewSession for a reliable
+// multi-process BatchTransport: each node listens on its own address and
+// dials peers lazily, outbound connections are cached and serialized per
+// peer, a dropped connection is re-dialed by the next send, and the
+// session's retransmission replays whatever the drop swallowed — as it
+// does for a frame that arrives to a full inbox, which is dropped and
+// counted (Stats). Production hardening (TLS, reconnection backoff) is
+// out of scope for the reproduction.
+type SessTCP struct {
 	addrs map[ocube.Pos]string
 
 	listener net.Listener
-	inbox    chan F
+	inbox    chan SessFrame
+
+	delivered atomic.Int64 // frames accepted into the inbox
+	dropped   atomic.Int64 // frames dropped because the inbox was full
 
 	mu       sync.Mutex
 	conns    map[ocube.Pos]*peerConn
@@ -37,8 +41,9 @@ type peerConn struct {
 	enc  *gob.Encoder
 }
 
-// newTCPLink starts the listener and accept loop for self.
-func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string) (*tcpLink[F], error) {
+// NewSessTCP starts a session frame link for self, listening on
+// addrs[self].
+func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
 	addr, ok := addrs[self]
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for self %v", self)
@@ -47,11 +52,12 @@ func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string) (*tcpLink[F],
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	t := &tcpLink[F]{
-		self:     self,
+	t := &SessTCP{
 		addrs:    make(map[ocube.Pos]string, len(addrs)),
 		listener: ln,
-		inbox:    make(chan F, 1024),
+		// Room for a full session window from each of many peers;
+		// beyond it frames are dropped, counted, and retransmitted.
+		inbox:    make(chan SessFrame, 1024),
 		conns:    make(map[ocube.Pos]*peerConn),
 		accepted: make(map[net.Conn]bool),
 	}
@@ -64,9 +70,16 @@ func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string) (*tcpLink[F],
 }
 
 // Addr returns the bound listen address (useful with ":0" ports).
-func (t *tcpLink[F]) Addr() string { return t.listener.Addr().String() }
+func (t *SessTCP) Addr() string { return t.listener.Addr().String() }
 
-func (t *tcpLink[F]) acceptLoop() {
+// Stats returns the link's inbound delivery counters: Sent counts frames
+// accepted into the inbox, Dropped counts frames that arrived to a full
+// inbox and were discarded (the session retransmits them).
+func (t *SessTCP) Stats() MeshStats {
+	return MeshStats{Sent: t.delivered.Load(), Dropped: t.dropped.Load()}
+}
+
+func (t *SessTCP) acceptLoop() {
 	defer t.wg.Done()
 	for {
 		conn, err := t.listener.Accept()
@@ -86,7 +99,7 @@ func (t *tcpLink[F]) acceptLoop() {
 	}
 }
 
-func (t *tcpLink[F]) readLoop(conn net.Conn) {
+func (t *SessTCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
 		conn.Close()
@@ -96,7 +109,7 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 	}()
 	dec := gob.NewDecoder(conn)
 	for {
-		var f F
+		var f SessFrame
 		if err := dec.Decode(&f); err != nil {
 			return
 		}
@@ -108,15 +121,18 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 		}
 		select {
 		case t.inbox <- f:
+			t.delivered.Add(1)
 		default:
-			// Inbox overflow: drop. The failure machinery treats a lost
-			// message like a transient fault and recovers.
+			// Inbox overflow: the frame is lost, exactly the condition
+			// the session's retransmission repairs.
+			t.dropped.Add(1)
 		}
 	}
 }
 
-// send gob-encodes one frame to the peer, dialing lazily.
-func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
+// SendFrame implements FrameLink: it gob-encodes one frame to the peer,
+// dialing lazily.
+func (t *SessTCP) SendFrame(to ocube.Pos, frame SessFrame) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -154,8 +170,12 @@ func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
 	return nil
 }
 
-// close shuts the listener, every connection, and the inbox.
-func (t *tcpLink[F]) close() error {
+// RecvFrame implements FrameLink.
+func (t *SessTCP) RecvFrame() <-chan SessFrame { return t.inbox }
+
+// Close implements FrameLink: it shuts the listener, every connection,
+// and the inbox.
+func (t *SessTCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -182,69 +202,4 @@ func (t *tcpLink[F]) close() error {
 	return err
 }
 
-// TCP is a Transport over TCP sockets with one gob-encoded message per
-// frame (examples/tcpcluster).
-type TCP struct {
-	link *tcpLink[core.Message]
-}
-
-// NewTCP starts a TCP transport for self, listening on addrs[self].
-func NewTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*TCP, error) {
-	link, err := newTCPLink[core.Message](self, addrs)
-	if err != nil {
-		return nil, err
-	}
-	return &TCP{link: link}, nil
-}
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *TCP) Addr() string { return t.link.Addr() }
-
-// Send implements Transport.
-func (t *TCP) Send(m core.Message) error { return t.link.send(m.To, m) }
-
-// Recv implements Transport.
-func (t *TCP) Recv() <-chan core.Message { return t.link.inbox }
-
-// Close implements Transport.
-func (t *TCP) Close() error { return t.link.close() }
-
-var _ Transport = (*TCP)(nil)
-
-// EnvTCP is a BatchTransport over TCP sockets with one gob-encoded
-// envelope batch per frame — the multi-process wire of a lockspace. All
-// instances share one connection mesh: the per-peer connection carries
-// every instance's traffic, batched per destination by the sender.
-type EnvTCP struct {
-	link *tcpLink[[]core.Envelope]
-}
-
-// NewEnvTCP starts an envelope-batch transport for self, listening on
-// addrs[self].
-func NewEnvTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*EnvTCP, error) {
-	link, err := newTCPLink[[]core.Envelope](self, addrs)
-	if err != nil {
-		return nil, err
-	}
-	return &EnvTCP{link: link}, nil
-}
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *EnvTCP) Addr() string { return t.link.Addr() }
-
-// SendBatch implements BatchTransport. The batch is encoded before
-// returning, so the caller may reuse its buffer.
-func (t *EnvTCP) SendBatch(to ocube.Pos, batch []core.Envelope) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	return t.link.send(to, batch)
-}
-
-// RecvBatch implements BatchTransport.
-func (t *EnvTCP) RecvBatch() <-chan []core.Envelope { return t.link.inbox }
-
-// Close implements BatchTransport.
-func (t *EnvTCP) Close() error { return t.link.close() }
-
-var _ BatchTransport = (*EnvTCP)(nil)
+var _ FrameLink = (*SessTCP)(nil)

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,79 +9,82 @@ import (
 	"repro/internal/ocube"
 )
 
+// Link-level tests of the two FrameLinks, with no session on top, so
+// every loss, drop and redial is visible to the test: SessMesh (the
+// in-memory switchboard the chaos rig runs on) and SessTCP (raw frames
+// over loopback sockets).
+
 func TestNewMeshValidation(t *testing.T) {
-	if _, err := NewMesh(0, 1); err == nil {
-		t.Error("NewMesh(0) succeeded")
+	if _, err := NewSessMesh(0, 1); err == nil {
+		t.Error("NewSessMesh(0) succeeded")
 	}
-	if _, err := NewMesh(-1, 1); err == nil {
-		t.Error("NewMesh(-1) succeeded")
+	if _, err := NewSessMesh(-1, 1); err == nil {
+		t.Error("NewSessMesh(-1) succeeded")
 	}
-	m, err := NewMesh(2, 0) // buffer clamped to default
+	m, err := NewSessMesh(2, 0) // buffer clamped to default
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	if got := cap(m.boxes[0]); got != 1024 {
+		t.Errorf("clamped buffer = %d, want 1024", got)
+	}
 }
 
 func TestMeshRoundTrip(t *testing.T) {
-	m, err := NewMesh(3, 8)
+	m, err := NewSessMesh(3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	a, b := m.Endpoint(0), m.Endpoint(1)
-	want := core.Message{Kind: core.KindRequest, From: 0, To: 1, Target: 2, Source: 0, Seq: 7}
-	if err := a.Send(want); err != nil {
+	want := dataFrame(0, 7)
+	if err := m.Endpoint(0).SendFrame(1, want); err != nil {
 		t.Fatal(err)
 	}
-	got := <-b.Recv()
-	if got != want {
-		t.Errorf("got %v, want %v", got, want)
+	if got := <-m.Endpoint(1).RecvFrame(); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
 	}
 }
 
 func TestMeshBadDestination(t *testing.T) {
-	m, err := NewMesh(2, 4)
+	m, err := NewSessMesh(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.Endpoint(0).Send(core.Message{To: 9}); err == nil {
-		t.Error("send to out-of-range destination succeeded")
+	if err := m.Endpoint(0).SendFrame(9, dataFrame(0, 1)); err == nil || err == errFrameLost {
+		t.Errorf("send to out-of-range destination = %v, want an addressing error", err)
 	}
 }
 
 func TestMeshOverflow(t *testing.T) {
-	m, err := NewMesh(2, 1)
+	m, err := NewSessMesh(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	e := m.Endpoint(0)
-	if err := e.Send(core.Message{To: 1}); err != nil {
+	if err := e.SendFrame(1, dataFrame(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Send(core.Message{To: 1}); err == nil {
-		t.Error("overflowing send succeeded")
+	// A full inbox loses the frame and says so: the session's cue to
+	// retransmit.
+	if err := e.SendFrame(1, dataFrame(0, 2)); err != errFrameLost {
+		t.Errorf("overflowing send = %v, want errFrameLost", err)
 	}
-	// The overflow is not silent: callers that discard the error (the
-	// cluster runtime treats it as message loss) still leave a trace in
-	// the mesh-wide drop counter.
-	if got := m.Stats(); got.Sent != 1 || got.Dropped != 1 {
-		t.Errorf("Stats = %+v, want Sent=1 Dropped=1", got)
+	// So does the loss-injection hook.
+	m.Drop = func(to ocube.Pos, f SessFrame) bool { return f.Seq == 3 }
+	<-m.Endpoint(1).RecvFrame()
+	if err := e.SendFrame(1, dataFrame(0, 3)); err != errFrameLost {
+		t.Errorf("dropped send = %v, want errFrameLost", err)
 	}
-	// A send to an out-of-range destination is an addressing error, not an
-	// overflow drop.
-	if err := e.Send(core.Message{To: 9}); err == nil {
-		t.Error("send to out-of-range destination succeeded")
-	}
-	if got := m.Stats(); got.Dropped != 1 {
-		t.Errorf("Dropped = %d after addressing error, want 1", got.Dropped)
+	if err := e.SendFrame(1, dataFrame(0, 4)); err != nil {
+		t.Errorf("send after drop = %v, want delivery", err)
 	}
 }
 
 func TestMeshClosed(t *testing.T) {
-	m, err := NewMesh(2, 4)
+	m, err := NewSessMesh(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +95,10 @@ func TestMeshClosed(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := e.Send(core.Message{To: 1}); err != ErrClosed {
+	if err := e.SendFrame(1, dataFrame(0, 1)); err != ErrClosed {
 		t.Errorf("send after close = %v, want ErrClosed", err)
 	}
-	if _, ok := <-m.Endpoint(1).Recv(); ok {
+	if _, ok := <-m.Endpoint(1).RecvFrame(); ok {
 		t.Error("recv channel not closed")
 	}
 	if err := e.Close(); err != nil {
@@ -103,23 +106,14 @@ func TestMeshClosed(t *testing.T) {
 	}
 }
 
-func tcpPair(t *testing.T) (*TCP, *TCP) {
+func tcpPair(t *testing.T) (*SessTCP, *SessTCP) {
 	t.Helper()
-	// Reserve two loopback ports.
-	addrs := map[ocube.Pos]string{}
-	for i := ocube.Pos(0); i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	a, err := NewTCP(0, addrs)
+	addrs := reserveLoopbackAddrs(t, 2)
+	a, err := NewSessTCP(0, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCP(1, addrs)
+	b, err := NewSessTCP(1, addrs)
 	if err != nil {
 		a.Close()
 		t.Fatal(err)
@@ -127,44 +121,52 @@ func tcpPair(t *testing.T) (*TCP, *TCP) {
 	return a, b
 }
 
+func dataFrame(from ocube.Pos, seq uint64) SessFrame {
+	return SessFrame{From: from, Boot: 1, Seq: seq, Batch: []core.Envelope{{
+		Instance: seq,
+		Msg:      core.Message{Kind: core.KindRequest, From: from, To: 1 - from, Seq: seq},
+	}}}
+}
+
+func recvFrame(t *testing.T, l *SessTCP) SessFrame {
+	t.Helper()
+	select {
+	case f := <-l.RecvFrame():
+		return f
+	case <-time.After(10 * time.Second):
+		t.Fatal("timeout")
+		return SessFrame{}
+	}
+}
+
 func TestTCPRoundTrip(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	defer b.Close()
-	want := core.Message{Kind: core.KindToken, From: 0, To: 1, Lender: ocube.None, Seq: 3}
-	if err := a.Send(want); err != nil {
+	want := dataFrame(0, 3)
+	if err := a.SendFrame(1, want); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-b.Recv():
-		if got != want {
-			t.Errorf("got %v, want %v", got, want)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
+	if got := recvFrame(t, b); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
 	}
-	// And the reverse direction (b dials back).
-	back := core.Message{Kind: core.KindTokenAck, From: 1, To: 0, Seq: 3}
-	if err := b.Send(back); err != nil {
+	// And the reverse direction (b dials back): a pure ack frame.
+	back := SessFrame{From: 1, Boot: 1, Ack: 3}
+	if err := b.SendFrame(0, back); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-a.Recv():
-		if got != back {
-			t.Errorf("got %v, want %v", got, back)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
+	if got := recvFrame(t, a); !reflect.DeepEqual(got, back) {
+		t.Errorf("got %+v, want %+v", got, back)
 	}
 }
 
 func TestTCPErrors(t *testing.T) {
-	if _, err := NewTCP(0, map[ocube.Pos]string{1: "127.0.0.1:0"}); err == nil {
-		t.Error("NewTCP without self address succeeded")
+	if _, err := NewSessTCP(0, map[ocube.Pos]string{1: "127.0.0.1:0"}); err == nil {
+		t.Error("NewSessTCP without self address succeeded")
 	}
 	a, b := tcpPair(t)
 	defer b.Close()
-	if err := a.Send(core.Message{To: 5}); err == nil {
+	if err := a.SendFrame(5, dataFrame(0, 1)); err == nil {
 		t.Error("send to unknown peer succeeded")
 	}
 	if err := a.Close(); err != nil {
@@ -173,8 +175,11 @@ func TestTCPErrors(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := a.Send(core.Message{To: 1}); err != ErrClosed {
+	if err := a.SendFrame(1, dataFrame(0, 1)); err != ErrClosed {
 		t.Errorf("send after close = %v, want ErrClosed", err)
+	}
+	if _, ok := <-a.RecvFrame(); ok {
+		t.Error("recv channel not closed")
 	}
 }
 
@@ -182,24 +187,23 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	addr := b.Addr()
-	if err := a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 1}); err != nil {
+	if err := a.SendFrame(1, dataFrame(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	<-b.Recv()
+	recvFrame(t, b)
 	b.Close()
 	// Sends now fail (peer down) until it comes back; the first may hit
 	// the cached dead connection.
-	_ = a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 2})
+	_ = a.SendFrame(1, dataFrame(0, 2))
 
-	table := map[ocube.Pos]string{0: a.Addr(), 1: addr}
-	b2, err := NewTCP(1, table)
+	b2, err := NewSessTCP(1, map[ocube.Pos]string{0: a.Addr(), 1: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 3}); err == nil {
+		if err := a.SendFrame(1, dataFrame(0, 3)); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -207,12 +211,40 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	select {
-	case got := <-b2.Recv():
-		if got.Seq != 3 {
-			t.Errorf("got seq %d, want 3", got.Seq)
+	if got := recvFrame(t, b2); got.Seq != 3 {
+		t.Errorf("got seq %d, want 3", got.Seq)
+	}
+}
+
+// TestSessTCPStatsCountsOverflow floods a receiver nobody drains: the
+// inbox fills and every further frame is dropped, and each frame that
+// reached the link must show up in exactly one of Sent and Dropped.
+func TestSessTCPStatsCountsOverflow(t *testing.T) {
+	a, b := tcpPair(t)
+	defer a.Close()
+	defer b.Close()
+	const frames = 3000 // well past the 1024-frame inbox
+	for i := 1; i <= frames; i++ {
+		if err := a.SendFrame(1, dataFrame(0, uint64(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout after redial")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	var st MeshStats
+	for {
+		st = b.Stats()
+		if st.Sent+st.Dropped == frames {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Stats = %+v, want Sent+Dropped = %d", st, frames)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.Sent != int64(cap(b.inbox)) || st.Dropped != frames-st.Sent {
+		t.Errorf("Stats = %+v, want Sent = %d (inbox capacity), the rest Dropped", st, cap(b.inbox))
+	}
+	if got := a.Stats(); got != (MeshStats{}) {
+		t.Errorf("sender Stats = %+v, want zero (counters are inbound)", got)
 	}
 }

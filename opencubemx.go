@@ -2,17 +2,23 @@
 // on an open-cube logical tree, reproducing Hélary & Mostefaoui's
 // algorithm (INRIA RR-2041, 1993 / ICDCS 1994).
 //
-// The package offers three entry points:
+// One live runtime serves every entry point: the keyed lockspace
+// (internal/lockspace), one event-loop goroutine per node multiplexing
+// lazily instantiated per-key open-cube mutexes, with instance-tagged
+// envelopes batched per destination on the wire. The entry points differ
+// only in the keys they expose and the transport under the nodes:
 //
-//   - Cluster: an in-process live cluster (one goroutine per node) for
-//     applications that want a ready-to-use mutual exclusion service.
-//     See examples/quickstart and examples/bankledger.
-//   - LockspaceCluster: an in-process keyed lock service — every
-//     distinct key is its own independent open-cube mutex, with
-//     instances lazily instantiated and multiplexed over one runtime
-//     (Lock(ctx, key) / Unlock(key)). See examples/lockspace.
-//   - NewTCPNode: a single node communicating over TCP for multi-process
-//     deployments. See examples/tcpcluster.
+//   - Cluster: an in-process cluster sharing ONE mutex (a lockspace with
+//     a single fixed key) over the in-memory EnvMesh. See
+//     examples/quickstart, examples/bankledger and examples/failover.
+//   - LockspaceCluster: the same in-process cluster exposing the keyed
+//     API — every distinct key is its own independent open-cube mutex
+//     (Lock(ctx, key) / Unlock(key, fence)), with optional leases. See
+//     examples/lockspace.
+//   - NewTCPNode: one member of a multi-process cluster sharing one
+//     mutex, over reliable sessions (sequence numbers, dedup, acks,
+//     retransmission) on TCP sockets — the stack cmd/ocmxchaos deploys
+//     and the chaos rig validates. See examples/tcpcluster.
 //
 // The algorithm guarantees mutual exclusion via a unique token routed on
 // a logical tree that always remains an open-cube (a binomial tree), so a
@@ -23,21 +29,11 @@
 //
 // Research artifacts — the deterministic simulator, the experiment
 // harness regenerating the paper's tables, and the Raymond/Naimi-Trehel
-// baselines — live under internal/ and are exercised by cmd/ocmxbench and
-// the repository's benchmarks.
-//
-// The simulator (internal/sim) runs on a typed-event engine: an inlined
-// 4-ary min-heap of tagged-union events (message delivery, timer fire,
-// scheduled operation) dispatched by a single switch, with per-(node,
-// timer kind) slots that reschedule re-armed timers in place rather than
-// accumulating dead heap entries. The hot loop allocates nothing per
-// event and replays bit-for-bit from a seed (see DESIGN.md §8). The
-// experiment harness distributes its independent (p, seed, probe) cells
-// over a worker pool — ocmxbench's -parallel flag, harness.SetParallelism
-// in code — with byte-identical tables at any worker count, and
-// ocmxbench -json <label> records engine performance (events/sec, ns/op,
-// allocs/op) as BENCH_<label>.json for PR-over-PR comparison (divide
-// like fields between two files; EXPERIMENTS.md keeps the history).
+// baselines — live under internal/ and are exercised by cmd/ocmxbench,
+// the repository's benchmarks, and perfbench/ (the end-to-end benchmark
+// module, bash perfbench/run.sh). The simulator runs the same core.Node
+// state machine on a deterministic typed-event engine that replays
+// bit-for-bit from a seed (see DESIGN.md §8).
 package opencubemx
 
 import (
@@ -47,7 +43,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/lockspace"
 	"repro/internal/metrics"
@@ -55,12 +50,20 @@ import (
 	"repro/internal/transport"
 )
 
-// Option customizes a Cluster.
+// Option customizes a Cluster, LockspaceCluster or TCPNode.
 type Option func(*options)
 
 type options struct {
 	node  core.Config
 	lease time.Duration
+}
+
+func collectOptions(opts []Option) options {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // WithFaultTolerance enables the failure-handling layer (Section 5 of the
@@ -85,81 +88,75 @@ func WithPolicy(p core.Policy) Option {
 }
 
 // WithLeaseTTL bounds how long a lockspace hold stays valid without
-// renewal (Lockspace clusters only; Cluster ignores it). A holder that
-// neither Unlocks nor Keepalives within ttl has its hold reclaimed and
-// the key re-granted to the next waiter; the expired holder's later
-// Unlock/Keepalive reports lockspace.ErrLeaseExpired, and its fence is
-// stale at every FencedResource a newer holder has touched. Combine with
+// renewal. It applies to LockspaceCluster only; Cluster and TCPNode
+// ignore it, because Mutex.Unlock carries no fence and Mutex has no
+// Keepalive, so a single-mutex holder could neither renew its lease nor
+// learn that it lapsed. A holder that neither Unlocks nor Keepalives
+// within ttl has its hold reclaimed and the key re-granted to the next
+// waiter; the expired holder's later Unlock/Keepalive reports
+// lockspace.ErrLeaseExpired, and its fence is stale at every
+// FencedResource a newer holder has touched. Combine with
 // WithFaultTolerance so a crashed *node* (not just a silent client) also
 // releases its keys.
 func WithLeaseTTL(ttl time.Duration) Option {
 	return func(o *options) { o.lease = ttl }
 }
 
-// Cluster is an in-process group of 2^p nodes sharing one mutual
-// exclusion token.
-type Cluster struct {
-	mesh  *transport.Mesh
-	nodes []*cluster.Node
+// mutexKey is the one lockspace key behind the single-mutex API (Cluster
+// and TCPNode). Every member derives its instance id from it, so it is
+// part of the wire format.
+const mutexKey = "opencubemx.Mutex"
+
+// nodeConfig is the state-machine template of position self in an
+// n-member cluster.
+func nodeConfig(o options, self, n int) core.Config {
+	cfg := o.node
+	cfg.Self = ocube.Pos(self)
+	cfg.P = bits.TrailingZeros(uint(n))
+	return cfg
 }
 
-// NewCluster starts an n-node cluster; n must be a power of two (the
-// open-cube structure requires it — run a non-power-of-two membership by
-// rounding up and leaving the spare positions unused with fault tolerance
-// enabled).
-func NewCluster(n int, opts ...Option) (*Cluster, error) {
+// meshCluster is the in-process runtime behind Cluster and
+// LockspaceCluster: n lockspace nodes over one in-memory EnvMesh.
+type meshCluster struct {
+	mesh  *transport.EnvMesh
+	nodes []*lockspace.Lockspace
+}
+
+func newMeshCluster(n int, o options) (meshCluster, error) {
 	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("opencubemx: cluster size %d is not a power of two", n)
+		return meshCluster{}, fmt.Errorf("opencubemx: cluster size %d is not a power of two", n)
 	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	p := bits.TrailingZeros(uint(n))
-	mesh, err := transport.NewMesh(n, 4096)
+	mesh, err := transport.NewEnvMesh(n, 4096)
 	if err != nil {
-		return nil, err
+		return meshCluster{}, err
 	}
-	c := &Cluster{mesh: mesh}
+	c := meshCluster{mesh: mesh}
 	for i := 0; i < n; i++ {
-		cfg := o.node
-		cfg.Self = ocube.Pos(i)
-		cfg.P = p
-		node, err := cluster.New(cfg, mesh.Endpoint(ocube.Pos(i)))
+		node, err := lockspace.New(lockspace.Config{
+			Node:      nodeConfig(o, i, n),
+			Transport: mesh.Endpoint(ocube.Pos(i)),
+			LeaseTTL:  o.lease,
+		})
 		if err != nil {
-			c.Close()
-			return nil, err
+			c.close()
+			return meshCluster{}, err
 		}
 		c.nodes = append(c.nodes, node)
 	}
 	return c, nil
 }
 
-// N returns the cluster size.
-func (c *Cluster) N() int { return len(c.nodes) }
-
-// Mutex returns node i's handle on the distributed mutex.
-func (c *Cluster) Mutex(i int) (*Mutex, error) {
+// node returns node i, range-checked.
+func (c meshCluster) node(i int) (*lockspace.Lockspace, error) {
 	if i < 0 || i >= len(c.nodes) {
 		return nil, fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
 	}
-	return &Mutex{node: c.nodes[i]}, nil
+	return c.nodes[i], nil
 }
 
-// Kill simulates a fail-stop crash of node i: its event loop stops
-// immediately and every message sent to it from now on is lost, exactly
-// the failure model of the paper's Section 5. With fault tolerance
-// enabled the surviving nodes detect the crash by timeout and repair the
-// tree. Intended for failure drills and tests.
-func (c *Cluster) Kill(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
-	}
-	return c.nodes[i].Close()
-}
-
-// Close stops every node and the transport fabric.
-func (c *Cluster) Close() error {
+// close stops every node and the transport fabric.
+func (c meshCluster) close() error {
 	var firstErr error
 	for _, n := range c.nodes {
 		if err := n.Close(); err != nil && firstErr == nil {
@@ -172,25 +169,86 @@ func (c *Cluster) Close() error {
 	return firstErr
 }
 
+// Cluster is an in-process group of 2^p nodes sharing one mutual
+// exclusion token: a lockspace cluster serving a single fixed key.
+type Cluster struct {
+	mc meshCluster
+}
+
+// NewCluster starts an n-node cluster; n must be a power of two (the
+// open-cube structure requires it — run a non-power-of-two membership by
+// rounding up and leaving the spare positions unused with fault tolerance
+// enabled). WithLeaseTTL is ignored.
+func NewCluster(n int, opts ...Option) (*Cluster, error) {
+	o := collectOptions(opts)
+	o.lease = 0 // Mutex.Unlock carries no fence: no lease to renew or check
+	mc, err := newMeshCluster(n, o)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{mc: mc}, nil
+}
+
+// N returns the cluster size.
+func (c *Cluster) N() int { return len(c.mc.nodes) }
+
+// Mutex returns node i's handle on the distributed mutex.
+func (c *Cluster) Mutex(i int) (*Mutex, error) {
+	node, err := c.mc.node(i)
+	if err != nil {
+		return nil, err
+	}
+	return &Mutex{node: node}, nil
+}
+
+// Kill simulates a fail-stop crash of node i: its event loop stops
+// immediately, its Mutex's Lock and Unlock report an error, and every
+// message sent to it from now on is lost, exactly the failure model of
+// the paper's Section 5. With fault tolerance enabled the surviving nodes
+// detect the crash by timeout and repair the tree. Intended for failure
+// drills and tests.
+func (c *Cluster) Kill(i int) error {
+	node, err := c.mc.node(i)
+	if err != nil {
+		return err
+	}
+	return node.Close()
+}
+
+// Close stops every node and the transport fabric.
+func (c *Cluster) Close() error { return c.mc.close() }
+
 // Mutex is one node's handle on the cluster-wide mutual exclusion token.
-// It intentionally mirrors sync.Mutex's shape, with context support.
+// It intentionally mirrors sync.Mutex's shape, with context support:
+// Locks on the same node queue FIFO behind each other (a second Lock
+// waits for the first holder's Unlock), and Unlock releases the node's
+// current hold whichever goroutine took it.
 type Mutex struct {
-	node *cluster.Node
+	node *lockspace.Lockspace
 }
 
 // Lock blocks until this node holds the token (and thus the exclusive
-// right to the critical section) or ctx is done.
-func (m *Mutex) Lock(ctx context.Context) error { return m.node.Lock(ctx) }
+// right to the critical section) or ctx is done. On cancellation the
+// caller leaves the wait queue; a grant that raced the cancellation is
+// released immediately.
+func (m *Mutex) Lock(ctx context.Context) error {
+	_, err := m.node.Lock(ctx, mutexKey)
+	return err
+}
 
 // LockFenced is Lock returning the grant's fencing token: strictly
 // increasing across the grants of one token lineage, with a regenerated
 // token outranking any copy it replaces, so fence-comparing resources
 // reject accesses from a holder whose grant is stale.
-func (m *Mutex) LockFenced(ctx context.Context) (uint64, error) { return m.node.LockFenced(ctx) }
+func (m *Mutex) LockFenced(ctx context.Context) (uint64, error) {
+	return m.node.Lock(ctx, mutexKey)
+}
 
 // Unlock releases the critical section, returning the token to its
-// lender or keeping it if this node became the tree root.
-func (m *Mutex) Unlock() error { return m.node.Unlock() }
+// lender or keeping it if this node became the tree root, and hands the
+// mutex to the node's next queued Lock, if any. It reports an error when
+// the node holds no lock.
+func (m *Mutex) Unlock() error { return m.node.Unlock(mutexKey, 0) }
 
 // LockspaceCluster is an in-process group of 2^p nodes sharing a keyed
 // lock-space: every distinct key names an independent open-cube mutex,
@@ -199,68 +257,33 @@ func (m *Mutex) Unlock() error { return m.node.Unlock() }
 // transport endpoint per node, envelopes batched per destination). The
 // paper's per-critical-section message bound holds per key.
 type LockspaceCluster struct {
-	mesh  *transport.EnvMesh
-	nodes []*lockspace.Lockspace
+	mc meshCluster
 }
 
 // NewLockspaceCluster starts an n-node keyed lock service; n must be a
 // power of two. Position 0 holds every key's initial token.
 func NewLockspaceCluster(n int, opts ...Option) (*LockspaceCluster, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("opencubemx: cluster size %d is not a power of two", n)
-	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	p := bits.TrailingZeros(uint(n))
-	mesh, err := transport.NewEnvMesh(n, 4096)
+	mc, err := newMeshCluster(n, collectOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	c := &LockspaceCluster{mesh: mesh}
-	for i := 0; i < n; i++ {
-		cfg := o.node
-		cfg.Self = ocube.Pos(i)
-		cfg.P = p
-		node, err := lockspace.New(lockspace.Config{
-			Node:      cfg,
-			Transport: mesh.Endpoint(ocube.Pos(i)),
-			LeaseTTL:  o.lease,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-	}
-	return c, nil
+	return &LockspaceCluster{mc: mc}, nil
 }
 
 // N returns the cluster size.
-func (c *LockspaceCluster) N() int { return len(c.nodes) }
+func (c *LockspaceCluster) N() int { return len(c.mc.nodes) }
 
 // Lockspace returns node i's handle on the keyed lock service.
 func (c *LockspaceCluster) Lockspace(i int) (*Lockspace, error) {
-	if i < 0 || i >= len(c.nodes) {
-		return nil, fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
+	node, err := c.mc.node(i)
+	if err != nil {
+		return nil, err
 	}
-	return &Lockspace{node: c.nodes[i]}, nil
+	return &Lockspace{node: node}, nil
 }
 
 // Close stops every node and the transport fabric.
-func (c *LockspaceCluster) Close() error {
-	var firstErr error
-	for _, n := range c.nodes {
-		if err := n.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := c.mesh.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
+func (c *LockspaceCluster) Close() error { return c.mc.close() }
 
 // Lockspace is one node's handle on the keyed lock service: a named
 // mutex per key, each as strong as the single Mutex. Clients on the same
@@ -331,15 +354,27 @@ func (r *FencedResource) Rejected() int64 { return r.gate.Rejected() }
 // ErrBadMembership reports an invalid TCP membership table.
 var ErrBadMembership = errors.New("opencubemx: membership size is not a power of two")
 
-// TCPNode is one cluster member communicating over TCP.
+// TCPNode is one cluster member communicating over TCP: a lockspace
+// node serving the single-mutex key over a reliable session (sequence
+// numbers, dedup, acks and retransmission) on gob-encoded TCP frames —
+// the stack cmd/ocmxchaos deploys, without its stable storage, rejoin
+// and leases. Frames on the wire are transport.SessFrame values, so
+// every member of a cluster must run the same release.
+//
+// Membership is fixed at start. A member cannot rejoin a running cluster
+// after a restart: its fresh session restarts its sequence numbers under
+// the same incarnation, so peers discard its frames as duplicates, and
+// its state machine would start from the cluster-birth conditions
+// (position 0 holding the token). Restart the whole cluster instead.
 type TCPNode struct {
-	node *cluster.Node
-	tr   *transport.TCP
+	node *lockspace.Lockspace
+	link *transport.SessTCP
+	sess *transport.Session
 }
 
 // NewTCPNode starts node self of a cluster whose members listen at the
 // given addresses (index = node position; the length must be a power of
-// two). Position 0 holds the initial token.
+// two). Position 0 holds the initial token. WithLeaseTTL is ignored.
 func NewTCPNode(self int, addrs []string, opts ...Option) (*TCPNode, error) {
 	n := len(addrs)
 	if n <= 0 || n&(n-1) != 0 {
@@ -348,40 +383,37 @@ func NewTCPNode(self int, addrs []string, opts ...Option) (*TCPNode, error) {
 	if self < 0 || self >= n {
 		return nil, fmt.Errorf("opencubemx: self %d out of range", self)
 	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
 	table := make(map[ocube.Pos]string, n)
 	for i, a := range addrs {
 		table[ocube.Pos(i)] = a
 	}
-	tr, err := transport.NewTCP(ocube.Pos(self), table)
+	link, err := transport.NewSessTCP(ocube.Pos(self), table)
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.node
-	cfg.Self = ocube.Pos(self)
-	cfg.P = bits.TrailingZeros(uint(n))
-	node, err := cluster.New(cfg, tr)
+	sess := transport.NewSession(ocube.Pos(self), link, transport.SessionConfig{})
+	node, err := lockspace.New(lockspace.Config{
+		Node:      nodeConfig(collectOptions(opts), self, n),
+		Transport: sess,
+	})
 	if err != nil {
-		tr.Close()
+		sess.Close()
 		return nil, err
 	}
-	return &TCPNode{node: node, tr: tr}, nil
+	return &TCPNode{node: node, link: link, sess: sess}, nil
 }
 
 // Mutex returns the node's mutex handle.
 func (t *TCPNode) Mutex() *Mutex { return &Mutex{node: t.node} }
 
 // Addr returns the node's bound listen address.
-func (t *TCPNode) Addr() string { return t.tr.Addr() }
+func (t *TCPNode) Addr() string { return t.link.Addr() }
 
-// Close stops the node and its transport.
+// Close stops the node, then its session and the TCP link under it.
 func (t *TCPNode) Close() error {
 	err := t.node.Close()
-	if terr := t.tr.Close(); err == nil {
-		err = terr
+	if serr := t.sess.Close(); err == nil {
+		err = serr
 	}
 	return err
 }

@@ -156,6 +156,112 @@ func TestLockContextCancellation(t *testing.T) {
 	}
 }
 
+func TestMutexUnlockWithoutLock(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < c.N(); i++ {
+		m, _ := c.Mutex(i)
+		if err := m.Unlock(); err == nil {
+			t.Errorf("node %d: unlock without lock succeeded", i)
+		}
+	}
+	// A released hold cannot be released twice.
+	m, _ := c.Mutex(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unlock(); err == nil {
+		t.Error("second unlock of one hold succeeded")
+	}
+}
+
+func TestMutexAfterKill(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Kill(2); err == nil {
+		t.Error("Kill(2) succeeded on a 2-node cluster")
+	}
+	m0, _ := c.Mutex(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m0.Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(0); err != nil {
+		t.Errorf("second kill: %v", err)
+	}
+	// The killed node's hold dies with it: neither Unlock nor a new Lock
+	// reaches the stopped event loop.
+	if err := m0.Unlock(); err == nil {
+		t.Error("unlock on a killed node succeeded")
+	}
+	if err := m0.Lock(ctx); err == nil {
+		t.Error("lock on a killed node succeeded")
+	}
+	if _, err := m0.LockFenced(ctx); err == nil {
+		t.Error("fenced lock on a killed node succeeded")
+	}
+}
+
+// TestMutexSameNodeSerializes: goroutines sharing one node's Mutex queue
+// FIFO behind each other like sync.Mutex — the second Lock waits for the
+// first holder's Unlock instead of failing.
+func TestMutexSameNodeSerializes(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, _ := c.Mutex(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const rounds = 50
+	var (
+		inCS    int64
+		counter int // protected by the mutex
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				if err := m.Lock(ctx); err != nil {
+					t.Errorf("lock: %v", err)
+					return
+				}
+				if atomic.AddInt64(&inCS, 1) != 1 {
+					t.Error("two goroutines of one node in the critical section")
+				}
+				counter++
+				atomic.AddInt64(&inCS, -1)
+				if err := m.Unlock(); err != nil {
+					t.Errorf("unlock: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if counter != 2*rounds {
+		t.Errorf("counter = %d, want %d", counter, 2*rounds)
+	}
+}
+
 func TestTCPNodeValidation(t *testing.T) {
 	if _, err := NewTCPNode(0, []string{"a", "b", "c"}); err == nil {
 		t.Error("3-member TCP cluster accepted")
